@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use cadb_common::Parallelism;
-use cadb_compression::analyze::compressed_index_size;
+use cadb_compression::analyze::{compressed_index_size, pack_pages};
 use cadb_compression::page::{decode_page, encode_page, PageContext};
 use cadb_compression::CompressionKind;
 use cadb_core::greedy::greedy_assign;
@@ -46,6 +46,21 @@ fn bench_page_codec(c: &mut Criterion) {
         let encoded = encode_page(page_rows, &ctx).unwrap();
         group.bench_with_input(BenchmarkId::new("decode", kind), &ctx, |b, ctx| {
             b.iter(|| decode_page(black_box(&encoded.bytes), ctx).unwrap())
+        });
+    }
+    // Whole-index packing: size-only probes plus one encode per page.
+    for kind in [
+        CompressionKind::None,
+        CompressionKind::Row,
+        CompressionKind::Page,
+    ] {
+        let ctx = PageContext {
+            dtypes: &dtypes,
+            kind,
+            global_dicts: None,
+        };
+        group.bench_function(&format!("pack_pages/{kind}/12k_rows"), |b| {
+            b.iter(|| pack_pages(black_box(&rows), &ctx).unwrap())
         });
     }
     group.finish();

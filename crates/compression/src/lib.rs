@@ -30,6 +30,7 @@ pub mod null_suppress;
 pub mod page;
 pub mod patch;
 pub mod prefix;
+mod probe;
 pub mod rle;
 
 pub use analyze::{compressed_index_size, CompressionMeasurement};

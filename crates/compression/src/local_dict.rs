@@ -24,7 +24,11 @@ use std::collections::HashMap;
 
 /// Token reserved to mark an inline literal.
 const LITERAL: u16 = 0xFFFF;
-/// Maximum number of dictionary entries per page.
+/// Maximum number of dictionary entries per block. Truncation to it never
+/// happens for a page: a page holds at most `u16::MAX` values and an entry
+/// needs `f ≥ 2` occurrences, so at most 32 767 values qualify — which is
+/// why a page's block size follows from the admission rule alone (see
+/// `pack_pages`' size-only probes).
 const MAX_DICT: usize = 0xFFFE;
 
 /// Encode byte-strings with a page-local dictionary.

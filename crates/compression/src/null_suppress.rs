@@ -16,18 +16,20 @@ use cadb_common::DataType;
 
 /// Suppress a canonical value byte-string into its minimal form.
 pub fn suppress(canonical: &[u8], dtype: &DataType) -> Vec<u8> {
+    canonical[..suppressed_len(canonical, dtype)].to_vec()
+}
+
+/// Length of the suppressed form of `canonical`. The suppressed form is
+/// always a prefix of the canonical bytes, so this is all a size-only
+/// measurement needs.
+pub(crate) fn suppressed_len(canonical: &[u8], dtype: &DataType) -> usize {
     match dtype {
-        DataType::Int | DataType::Decimal { .. } | DataType::Date => {
-            suppress_twos_complement(canonical)
-        }
-        DataType::Char { .. } => {
-            let end = canonical
-                .iter()
-                .rposition(|&b| b != b' ')
-                .map_or(0, |p| p + 1);
-            canonical[..end].to_vec()
-        }
-        DataType::Varchar { .. } => canonical.to_vec(),
+        DataType::Int | DataType::Decimal { .. } | DataType::Date => twos_complement_len(canonical),
+        DataType::Char { .. } => canonical
+            .iter()
+            .rposition(|&b| b != b' ')
+            .map_or(0, |p| p + 1),
+        DataType::Varchar { .. } => canonical.len(),
     }
 }
 
@@ -45,9 +47,9 @@ pub fn expand(suppressed: &[u8], dtype: &DataType) -> Vec<u8> {
     }
 }
 
-/// Minimal two's-complement little-endian form: drop trailing bytes that are
-/// pure sign extension. The empty string encodes zero.
-fn suppress_twos_complement(le: &[u8]) -> Vec<u8> {
+/// Length of the minimal two's-complement little-endian form: trailing
+/// bytes that are pure sign extension drop. The empty string encodes zero.
+fn twos_complement_len(le: &[u8]) -> usize {
     let mut end = le.len();
     while end > 0 {
         let last = le[end - 1];
@@ -67,7 +69,7 @@ fn suppress_twos_complement(le: &[u8]) -> Vec<u8> {
         }
         break;
     }
-    le[..end].to_vec()
+    end
 }
 
 fn expand_twos_complement(minimal: &[u8], width: usize) -> Vec<u8> {

@@ -155,12 +155,7 @@ pub fn encode_page(rows: &[Row], ctx: &PageContext<'_>) -> Result<EncodedPage> {
     let n_cols = ctx.dtypes.len();
     let mut uncompressed = 0usize;
     for r in rows {
-        if r.arity() != n_cols {
-            return Err(CadbError::Schema(format!(
-                "row arity {} != page arity {n_cols}",
-                r.arity()
-            )));
-        }
+        check_arity(r, n_cols)?;
         uncompressed += ROW_HEADER_BYTES + n_cols.div_ceil(8);
         for (v, t) in r.values.iter().zip(ctx.dtypes) {
             uncompressed += value_width(v, t);
@@ -198,6 +193,17 @@ pub fn encode_page(rows: &[Row], ctx: &PageContext<'_>) -> Result<EncodedPage> {
         n_rows: n,
         uncompressed_bytes: uncompressed,
     })
+}
+
+/// The arity check every page encode (and size-only probe) applies.
+pub(crate) fn check_arity(row: &Row, n_cols: usize) -> Result<()> {
+    if row.arity() != n_cols {
+        return Err(CadbError::Schema(format!(
+            "row arity {} != page arity {n_cols}",
+            row.arity()
+        )));
+    }
+    Ok(())
 }
 
 fn encode_column(

@@ -95,7 +95,7 @@ pub fn decode(block: &[u8]) -> Result<Vec<Vec<u8>>> {
     Ok(out)
 }
 
-fn common_prefix_len(a: &[u8], b: &[u8]) -> usize {
+pub(crate) fn common_prefix_len(a: &[u8], b: &[u8]) -> usize {
     a.iter().zip(b.iter()).take_while(|(x, y)| x == y).count()
 }
 

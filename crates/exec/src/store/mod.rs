@@ -1241,7 +1241,7 @@ impl<'a> Store<'a> {
         // Fresh (empty) deltas over the artifact bases, so the recovered
         // store's state digest covers every folded table.
         for t in ckpt.tables.keys() {
-            let n = store.base_rows(*t)?.len();
+            let n = store.base_pages(*t)?.n_rows();
             store.state.write().deltas.insert(*t, TableDelta::new(n));
         }
         let rep = wal::replay(wal_bytes);

@@ -897,7 +897,7 @@ impl<'a> ShardedStore<'a> {
             st.totals = ckpt.store.totals;
         }
         for t in ckpt.store.tables.keys() {
-            let n = store.inner.base_rows(*t)?.len();
+            let n = store.inner.base_pages(*t)?.n_rows();
             store
                 .inner
                 .state

@@ -45,79 +45,22 @@ pub struct PhysicalIndex {
 impl PhysicalIndex {
     /// Bulk-build an index from rows **already sorted** on the first
     /// `n_key_cols` columns. `dtypes` describes the stored columns (key
-    /// columns first, then included columns).
+    /// columns first, then included columns). This is the single-stripe,
+    /// serial case of [`Self::build_striped`].
     pub fn build(
         rows: &[Row],
         dtypes: &[DataType],
         n_key_cols: usize,
         kind: CompressionKind,
     ) -> Result<Self> {
-        if n_key_cols > dtypes.len() {
-            return Err(CadbError::InvalidArgument(format!(
-                "{n_key_cols} key columns but only {} stored columns",
-                dtypes.len()
-            )));
-        }
-        let key_cols: Vec<ColumnId> = (0..n_key_cols as u16).map(ColumnId).collect();
-        for w in rows.windows(2) {
-            if w[0].key_cmp(&w[1], &key_cols) == Ordering::Greater {
-                return Err(CadbError::InvalidArgument(
-                    "index build requires key-sorted input".into(),
-                ));
-            }
-        }
-        let dicts = if kind == CompressionKind::GlobalDict {
-            Some(build_dictionaries(rows, dtypes))
-        } else {
-            None
-        };
-        let ctx = PageContext {
+        Self::build_striped(
+            rows,
             dtypes,
-            kind,
-            global_dicts: dicts.as_deref(),
-        };
-        let leaves = pack_pages(rows, &ctx)?;
-
-        // First key of each leaf, recovered from row offsets.
-        let mut leaf_low_keys = Vec::with_capacity(leaves.len());
-        let mut off = 0usize;
-        for leaf in &leaves {
-            if leaf.n_rows > 0 {
-                leaf_low_keys.push(rows[off].project(&key_cols));
-            } else {
-                leaf_low_keys.push(Row::new(vec![]));
-            }
-            off += leaf.n_rows;
-        }
-
-        // Internal levels: ceil-log_fanout pages of separators.
-        let mut internal_pages = 0usize;
-        let mut level = leaves.len();
-        while level > 1 {
-            level = level.div_ceil(INTERNAL_FANOUT);
-            internal_pages += level;
-        }
-
-        let dict_bytes: usize = dicts
-            .as_deref()
-            .map(|ds| ds.iter().map(GlobalDictionary::storage_bytes).sum())
-            .unwrap_or(0);
-        let leaf_bytes: usize = leaves.iter().map(|p| p.bytes.len()).sum();
-        let uncompressed: usize = leaves.iter().map(|p| p.uncompressed_bytes).sum();
-
-        Ok(PhysicalIndex {
-            dtypes: dtypes.to_vec(),
             n_key_cols,
             kind,
-            leaf_low_keys,
-            internal_pages,
-            dicts,
-            n_rows: rows.len(),
-            compressed_bytes: leaf_bytes + dict_bytes + internal_pages * PAGE_SIZE,
-            uncompressed_bytes: uncompressed,
-            patched_rows: 0,
-            leaves,
-        })
+            usize::MAX,
+            Parallelism::Serial,
+        )
     }
 
     /// Encode one **stripe** of a striped bulk build: pack a contiguous,
@@ -138,12 +81,7 @@ impl PhysicalIndex {
         kind: CompressionKind,
         dicts: Option<&[GlobalDictionary]>,
     ) -> Result<StripePages> {
-        if n_key_cols > dtypes.len() {
-            return Err(CadbError::InvalidArgument(format!(
-                "{n_key_cols} key columns but only {} stored columns",
-                dtypes.len()
-            )));
-        }
+        check_key_cols(n_key_cols, dtypes)?;
         if kind == CompressionKind::GlobalDict && dicts.is_none() {
             return Err(CadbError::InvalidArgument(
                 "GlobalDict stripe encode requires whole-input dictionaries".into(),
@@ -153,7 +91,7 @@ impl PhysicalIndex {
         for w in rows.windows(2) {
             if w[0].key_cmp(&w[1], &key_cols) == Ordering::Greater {
                 return Err(CadbError::InvalidArgument(
-                    "stripe encode requires key-sorted input".into(),
+                    "index build requires key-sorted input".into(),
                 ));
             }
         }
@@ -259,6 +197,7 @@ impl PhysicalIndex {
         stripe_rows: usize,
         par: Parallelism,
     ) -> Result<Self> {
+        check_key_cols(n_key_cols, dtypes)?;
         // Dictionaries are built over the whole input first — the same
         // first-seen interning order as the monolithic build — so stripe
         // encodes agree on every code no matter the grid.
@@ -638,6 +577,16 @@ impl PhysicalIndex {
         rows.sort_by(|a, b| a.key_cmp(b, &key));
         PhysicalIndex::build(&rows, &self.dtypes, self.n_key_cols, self.kind)
     }
+}
+
+fn check_key_cols(n_key_cols: usize, dtypes: &[DataType]) -> Result<()> {
+    if n_key_cols > dtypes.len() {
+        return Err(CadbError::InvalidArgument(format!(
+            "{n_key_cols} key columns but only {} stored columns",
+            dtypes.len()
+        )));
+    }
+    Ok(())
 }
 
 /// Leaf pages of one stripe of a striped bulk build — the unit of parallel
